@@ -1,6 +1,7 @@
 #ifndef LAKEKIT_COMMON_LRU_CACHE_H_
 #define LAKEKIT_COMMON_LRU_CACHE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -29,18 +30,30 @@ struct LruCacheStats {
 
 /// A sharded, memory-bounded LRU cache (DESIGN.md §9).
 ///
-/// Entries are charged an explicit byte cost at insert time; each shard
-/// evicts from its least-recently-used end whenever its slice of the budget
-/// is exceeded. Lookups and inserts return a `Handle` that *pins* the entry:
-/// pinned entries are skipped by eviction, so an in-flight reader can never
-/// have the value destroyed underneath it. The byte budget is therefore a
-/// soft cap while pins are outstanding — releasing the last pin of an entry
-/// re-runs eviction, so the cache re-converges to its budget as soon as
-/// readers drain (tested under TSan in lru_cache_test.cc).
+/// Entries are charged an explicit byte cost at insert time against ONE
+/// global byte budget; each shard keeps its own LRU list. While the summed
+/// charge is over budget, an insert (or a release) first evicts from its own
+/// shard's least-recently-used end, then walks the other shards one at a
+/// time and evicts their unpinned tail entries until the charge fits. The
+/// walk runs only while the cache is over budget, so hits and inserts that
+/// fit cost one atomic access on top of the shard lock. An entry as large as
+/// the whole budget therefore stays cached whatever the shard count.
+/// Recency is exact within a shard; across shards the victim order is
+/// approximate (own shard first), the usual price of sharded LRU lists.
+///
+/// Lookups and inserts return a `Handle` that *pins* the entry: pinned
+/// entries are skipped by eviction, so an in-flight reader can never have
+/// the value destroyed underneath it. The byte budget is therefore a soft
+/// cap while pins are outstanding — releasing a pin re-runs eviction, so
+/// the cache re-converges to its budget as soon as readers drain (tested
+/// under TSan in lru_cache_test.cc).
 ///
 /// Concurrency: each shard has its own annotated Mutex; keys hash to shards
-/// with a mixed hash, so unrelated keys contend on different locks. Values
-/// are immutable once inserted (handles only expose `const V&`).
+/// with a mixed hash, so unrelated keys contend on different locks. At most
+/// one shard mutex is held at any moment (the cross-shard walk takes them
+/// one after another), so there is no lock order to get wrong. The global
+/// charge is an atomic. Values are immutable once inserted (handles only
+/// expose `const V&`).
 ///
 /// There is deliberately no Erase: lakekit keys its caches by
 /// (name, generation), so stale entries become unreachable on the next
@@ -48,9 +61,12 @@ struct LruCacheStats {
 template <typename K, typename V, typename Hash = std::hash<K>>
 class LruCache {
  public:
-  /// `capacity_bytes` is the total budget across shards. `shards` 0 picks a
-  /// power of two near the hardware concurrency (capped at 16).
-  explicit LruCache(size_t capacity_bytes, size_t shards = 0) {
+  /// `capacity_bytes` is the one budget shared by all shards: any single
+  /// shard may use all of it. `shards` 0 picks a power of two near the
+  /// hardware concurrency (capped at 16); the count only spreads lock
+  /// contention and never changes what fits.
+  explicit LruCache(size_t capacity_bytes, size_t shards = 0)
+      : capacity_(capacity_bytes) {
     size_t want = shards;
     if (want == 0) {
       const size_t hw = std::thread::hardware_concurrency();
@@ -61,12 +77,7 @@ class LruCache {
     size_t n = 1;
     while (n < want) n <<= 1;
     shards_.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      shards_.push_back(std::make_unique<Shard>());
-      // Distribute the budget; the +remainder on shard 0 keeps the sum exact.
-      shards_[i]->capacity = capacity_bytes / n;
-    }
-    shards_[0]->capacity += capacity_bytes % n;
+    for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
   }
 
   LruCache(const LruCache&) = delete;
@@ -74,7 +85,7 @@ class LruCache {
 
   /// A pinned reference to a cache entry. While any Handle to an entry is
   /// alive the entry cannot be evicted. Copying re-pins; destruction
-  /// unpins (and triggers deferred eviction if the shard ran over budget
+  /// unpins (and triggers deferred eviction if the cache ran over budget
   /// while the entry was pinned).
   class Handle {
    public:
@@ -83,6 +94,7 @@ class LruCache {
     Handle& operator=(const Handle& other) {
       if (this == &other) return *this;
       Release();
+      cache_ = other.cache_;
       shard_ = other.shard_;
       entry_ = other.entry_;
       if (entry_ != nullptr) {
@@ -92,15 +104,18 @@ class LruCache {
       return *this;
     }
     Handle(Handle&& other) noexcept
-        : shard_(other.shard_), entry_(other.entry_) {
+        : cache_(other.cache_), shard_(other.shard_), entry_(other.entry_) {
+      other.cache_ = nullptr;
       other.shard_ = nullptr;
       other.entry_ = nullptr;
     }
     Handle& operator=(Handle&& other) noexcept {
       if (this == &other) return *this;
       Release();
+      cache_ = other.cache_;
       shard_ = other.shard_;
       entry_ = other.entry_;
+      other.cache_ = nullptr;
       other.shard_ = nullptr;
       other.entry_ = nullptr;
       return *this;
@@ -114,22 +129,29 @@ class LruCache {
 
     void Release() {
       if (entry_ == nullptr) return;
+      LruCache* cache = cache_;
       Entry* entry = entry_;
       Shard* shard = shard_;
+      cache_ = nullptr;
       entry_ = nullptr;
       shard_ = nullptr;
-      MutexLock lock(shard->mu);
-      --entry->pins;
-      // The entry may have kept the shard over budget while pinned; now that
-      // it is (possibly) evictable again, re-converge.
-      shard->EvictLocked();
+      {
+        MutexLock lock(shard->mu);
+        --entry->pins;
+        // The entry may have kept the cache over budget while pinned; now
+        // that it is (possibly) evictable again, re-converge.
+        shard->EvictLocked(cache->charge_, cache->capacity_);
+      }
+      cache->EvictOtherShards(shard);
     }
 
    private:
     friend class LruCache;
-    Handle(typename LruCache::Shard* shard, typename LruCache::Entry* entry)
-        : shard_(shard), entry_(entry) {}
+    Handle(LruCache* cache, typename LruCache::Shard* shard,
+           typename LruCache::Entry* entry)
+        : cache_(cache), shard_(shard), entry_(entry) {}
 
+    LruCache* cache_ = nullptr;
     typename LruCache::Shard* shard_ = nullptr;
     typename LruCache::Entry* entry_ = nullptr;
   };
@@ -148,7 +170,7 @@ class LruCache {
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     Entry& entry = *it->second;
     ++entry.pins;
-    return Handle(&shard, &entry);
+    return Handle(this, &shard, &entry);
   }
 
   /// Inserts `value` under `key` charged `charge` bytes and returns a pinned
@@ -160,21 +182,26 @@ class LruCache {
   Handle Insert(const K& key, V value, size_t charge,
                 bool* inserted = nullptr) {
     Shard& shard = ShardFor(key);
-    MutexLock lock(shard.mu);
-    auto it = shard.index.find(key);
-    if (it != shard.index.end()) {
-      if (inserted != nullptr) *inserted = false;
-      shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-      Entry& existing = *it->second;
-      ++existing.pins;
-      return Handle(&shard, &existing);
+    Handle handle;
+    {
+      MutexLock lock(shard.mu);
+      auto it = shard.index.find(key);
+      if (it != shard.index.end()) {
+        if (inserted != nullptr) *inserted = false;
+        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+        Entry& existing = *it->second;
+        ++existing.pins;
+        return Handle(this, &shard, &existing);
+      }
+      if (inserted != nullptr) *inserted = true;
+      shard.lru.push_front(Entry{key, std::move(value), charge, 1});
+      shard.index.emplace(key, shard.lru.begin());
+      charge_.fetch_add(charge);
+      shard.EvictLocked(charge_, capacity_);
+      handle = Handle(this, &shard, &shard.lru.front());
     }
-    if (inserted != nullptr) *inserted = true;
-    shard.lru.push_front(Entry{key, std::move(value), charge, 1});
-    shard.index.emplace(key, shard.lru.begin());
-    shard.charge += charge;
-    shard.EvictLocked();
-    return Handle(&shard, &shard.lru.front());
+    EvictOtherShards(&shard);
+    return handle;
   }
 
   /// Installs a callback invoked (under the owning shard's lock — keep it
@@ -195,14 +222,14 @@ class LruCache {
       out.hits += shard->hits;
       out.misses += shard->misses;
       out.evictions += shard->evictions;
-      out.charge += shard->charge;
       out.entries += shard->index.size();
     }
+    out.charge = charge();
     return out;
   }
 
   /// Bytes currently charged across all shards.
-  size_t charge() const { return stats().charge; }
+  size_t charge() const { return charge_.load(); }
 
   size_t num_shards() const { return shards_.size(); }
 
@@ -221,21 +248,21 @@ class LruCache {
     std::list<Entry> lru LAKEKIT_GUARDED_BY(mu);  // front = most recent
     std::unordered_map<K, typename std::list<Entry>::iterator, Hash> index
         LAKEKIT_GUARDED_BY(mu);
-    size_t capacity LAKEKIT_GUARDED_BY(mu) = 0;
-    size_t charge LAKEKIT_GUARDED_BY(mu) = 0;
     uint64_t hits LAKEKIT_GUARDED_BY(mu) = 0;
     uint64_t misses LAKEKIT_GUARDED_BY(mu) = 0;
     uint64_t evictions LAKEKIT_GUARDED_BY(mu) = 0;
     std::function<void(size_t)> on_evict LAKEKIT_GUARDED_BY(mu);
 
-    /// Evicts unpinned entries from the LRU end until the shard fits its
-    /// budget (or only pinned entries remain).
-    void EvictLocked() LAKEKIT_REQUIRES(mu) {
+    /// Evicts unpinned entries from this shard's LRU end while the cache's
+    /// global `charge` exceeds `capacity` (or until only pinned entries
+    /// remain here).
+    void EvictLocked(std::atomic<size_t>& charge, size_t capacity)
+        LAKEKIT_REQUIRES(mu) {
       auto it = lru.end();
-      while (charge > capacity && it != lru.begin()) {
+      while (charge.load() > capacity && it != lru.begin()) {
         --it;
         if (it->pins > 0) continue;  // pinned: skip, try the next-older entry
-        charge -= it->charge;
+        charge.fetch_sub(it->charge);
         ++evictions;
         if (on_evict) on_evict(it->charge);
         index.erase(it->key);
@@ -244,6 +271,23 @@ class LruCache {
     }
   };
 
+  /// Called with no shard lock held, after `home` has evicted what it could
+  /// and the cache may still be over budget: locks the other shards one at
+  /// a time, starting after `home` so no shard is always drained first, and
+  /// evicts their unpinned tail entries until the global charge fits. A
+  /// no-op (one atomic load) when the cache is within budget.
+  void EvictOtherShards(const Shard* home) {
+    if (charge_.load() <= capacity_) return;
+    const size_t n = shards_.size();
+    size_t start = 0;
+    while (shards_[start].get() != home) ++start;
+    for (size_t i = 1; i < n && charge_.load() > capacity_; ++i) {
+      Shard& shard = *shards_[(start + i) & (n - 1)];
+      MutexLock lock(shard.mu);
+      shard.EvictLocked(charge_, capacity_);
+    }
+  }
+
   Shard& ShardFor(const K& key) {
     // Mix the hash so clustered low bits (e.g. sequential generations in a
     // composed key) still spread across shards.
@@ -251,6 +295,11 @@ class LruCache {
     return *shards_[h & (shards_.size() - 1)];
   }
 
+  const size_t capacity_;
+  /// Bytes charged across all shards, pinned entries included. Default
+  /// (sequentially consistent) ordering: on x86 the loads cost the same as
+  /// relaxed ones, and the hit path never writes it.
+  std::atomic<size_t> charge_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -180,15 +180,19 @@ class [[nodiscard]] Status {
 /// Aborts the process if `expr` yields a non-OK Status (or a Result whose
 /// status is non-OK). For benches, examples, and other contexts where an
 /// error cannot be propagated and must not be silently swallowed.
+///
+/// The Status is copied out within `expr`'s full-expression, so an `expr`
+/// such as `engine.Query(sql).status()` — a reference into a temporary
+/// Result — is read before that temporary dies.
 #define LAKEKIT_CHECK_OK(expr) \
   LAKEKIT_CHECK_OK_IMPL_(LAKEKIT_CONCAT_(_lakekit_check_, __COUNTER__), expr)
 
-#define LAKEKIT_CHECK_OK_IMPL_(name, expr)                            \
-  do {                                                                \
-    if (const auto& name = (expr); !name.ok()) {                      \
-      ::lakekit::internal::CheckOkFailed(#expr, __FILE__, __LINE__,   \
-                                         ::lakekit::ToCheckStatus(name)); \
-    }                                                                 \
+#define LAKEKIT_CHECK_OK_IMPL_(name, expr)                                  \
+  do {                                                                      \
+    if (const ::lakekit::Status name = ::lakekit::ToCheckStatus((expr));    \
+        !name.ok()) {                                                       \
+      ::lakekit::internal::CheckOkFailed(#expr, __FILE__, __LINE__, name);  \
+    }                                                                       \
   } while (0)
 
 namespace lakekit {

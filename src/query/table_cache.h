@@ -20,17 +20,25 @@ struct CachedTable {
 };
 
 struct TableCacheOptions {
-  /// Total byte budget across shards (charge = decoded cells + string
-  /// payloads + zone-map footprint).
+  /// Total byte budget of the cache, one number shared by every shard
+  /// (charge = decoded cells + string payloads + zone-map footprint). Any
+  /// table up to this size stays cached once its readers are done, whatever
+  /// the shard count.
   size_t capacity_bytes = 64u << 20;
-  /// 0 = pick from hardware concurrency (see common/lru_cache.h).
+  /// Number of LRU lists (rounded up to a power of two); 0 = pick from
+  /// hardware concurrency (see common/lru_cache.h). Only spreads lock
+  /// contention: it never changes which tables fit.
   size_t shards = 0;
   /// When set, the cache's bytes are a child reservation of this process
   /// budget (DESIGN.md §10): admissions reserve against it, evictions and
   /// capacity pressure credit it back, so the cache and in-flight queries
-  /// trade off inside one process-level number. An admission the budget
-  /// refuses is *declined* — the table simply is not cached — never an
-  /// error: caching is an optimization, overload protection is not.
+  /// trade off inside one process-level number. A full cache makes room by
+  /// evicting; only the process budget can refuse an admission. A refused
+  /// admission is *declined* — the table simply is not cached — never an
+  /// error: caching is an optimization, overload protection is not. The
+  /// reservation is taken before eviction frees room, so an admission needs
+  /// the process budget to hold the new table next to the cache's current
+  /// contents for a moment.
   /// Must outlive the cache. nullptr: the cache only enforces its own
   /// `capacity_bytes`, exactly the pre-budget behavior.
   MemoryBudget* process_budget = nullptr;
@@ -51,7 +59,9 @@ class TableCache {
   using Entry = LruCache<std::string, CachedTable>::Handle;
 
   explicit TableCache(const TableCacheOptions& options = {})
-      : account_(options.process_budget, options.capacity_bytes),
+      // Capped by the process budget alone: capacity pressure is the LRU's
+      // to resolve by eviction, not the account's to refuse.
+      : account_(options.process_budget),
         cache_(options.capacity_bytes, options.shards) {
     if (account_.attached()) {
       // Evictions run under a shard lock; the credit is two relaxed

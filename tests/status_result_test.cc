@@ -202,6 +202,18 @@ TEST(CheckOkDeathTest, NonOkAbortsWithContext) {
                "LAKEKIT_CHECK_OK.*disk gone");
 }
 
+// `.status()` of a temporary Result is a reference into that temporary; the
+// macro must read it before the temporary dies (ASan reports
+// stack-use-after-scope otherwise).
+TEST(CheckOkTest, StatusOfTemporaryResultIsReadInTime) {
+  LAKEKIT_CHECK_OK(PositiveOrError(1).status());
+}
+
+TEST(CheckOkDeathTest, NonOkStatusOfTemporaryResultAborts) {
+  EXPECT_DEATH(LAKEKIT_CHECK_OK(PositiveOrError(0).status()),
+               "LAKEKIT_CHECK_OK");
+}
+
 // ------------------------------------------------ nodiscard compile-fail
 //
 // `Status` and `Result<T>` are class-level [[nodiscard]], and the build runs

@@ -120,6 +120,88 @@ TEST(TableCacheTest, ChargeIsBoundedByCapacity) {
   EXPECT_GT(cache.stats().evictions, 0u);
 }
 
+// Shard counts the budget tests run at, so the host's core count never
+// decides which path is covered.
+constexpr size_t kShardCounts[] = {1, 4, 16};
+
+/// Bytes one cached People() table is charged (cells + zone map).
+size_t PeopleCharge() {
+  TableCache probe;
+  probe.Put("people", 1, People());
+  return probe.stats().charge;
+}
+
+// Capacity pressure evicts, it never declines: a full cache admits each new
+// generation of a dataset by evicting the oldest ones, whether or not its
+// bytes are a child of a process budget with room to spare.
+TEST(TableCacheTest, FullAttachedCacheAdmitsNewGenerationByEviction) {
+  const size_t charge = PeopleCharge();
+  ASSERT_GT(charge, 0u);
+  for (const bool attached : {false, true}) {
+    for (const size_t shards : kShardCounts) {
+      SCOPED_TRACE(std::string(attached ? "attached" : "unattached") +
+                   " shards=" + std::to_string(shards));
+      MemoryBudget budget(charge * 100);
+      TableCacheOptions options;
+      options.capacity_bytes = charge * 5 / 2;
+      options.shards = shards;
+      if (attached) options.process_budget = &budget;
+      TableCache cache(options);
+      for (uint64_t gen = 1; gen <= 4; ++gen) {
+        Table t = People();
+        EXPECT_TRUE(cache.Put("people", gen, &t)) << "generation " << gen;
+        EXPECT_TRUE(cache.Find("people", gen)) << "generation " << gen;
+      }
+      // Two tables fit in 2.5x: two older generations made room for the
+      // newer ones. Recency is exact within a shard only, so the victims
+      // are pinned down at one shard.
+      EXPECT_TRUE(cache.Find("people", 4));
+      if (shards == 1) {
+        EXPECT_FALSE(cache.Find("people", 1));
+        EXPECT_FALSE(cache.Find("people", 2));
+        EXPECT_TRUE(cache.Find("people", 3));
+      }
+      const LruCacheStats stats = cache.stats();
+      EXPECT_EQ(stats.entries, 2u);
+      EXPECT_EQ(stats.evictions, 2u);
+      EXPECT_LE(stats.charge, options.capacity_bytes);
+      if (attached) {
+        EXPECT_EQ(cache.account().used(), stats.charge);
+        EXPECT_EQ(budget.used(), stats.charge);
+        EXPECT_EQ(budget.exhausted_count(), 0u);
+      } else {
+        EXPECT_EQ(budget.used(), 0u);
+      }
+    }
+  }
+}
+
+// The one source of refusals: a process budget without room declines the
+// admission (the caller keeps its table) even though the cache has space.
+TEST(TableCacheTest, OnlyProcessBudgetDeclinesAdmission) {
+  const size_t charge = PeopleCharge();
+  for (const size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    MemoryBudget budget(charge * 3 / 2);
+    TableCacheOptions options;
+    options.capacity_bytes = charge * 10;
+    options.shards = shards;
+    options.process_budget = &budget;
+    TableCache cache(options);
+    Table first = People();
+    ASSERT_TRUE(cache.Put("people", 1, &first));
+    Table second = People();
+    EXPECT_FALSE(cache.Put("people", 2, &second));
+    // Declined, not consumed: the caller still holds its decoded table.
+    EXPECT_EQ(second.num_rows(), 4u);
+    EXPECT_TRUE(cache.Find("people", 1));
+    EXPECT_FALSE(cache.Find("people", 2));
+    EXPECT_GT(budget.exhausted_count(), 0u);
+    EXPECT_EQ(budget.used(), charge);
+    EXPECT_EQ(cache.account().used(), cache.stats().charge);
+  }
+}
+
 TEST_F(PolystoreGenerationTest, StoreAndBumpAdvanceGeneration) {
   auto opened = Polystore::Open(Path("lake"));
   ASSERT_TRUE(opened.ok());
@@ -149,11 +231,12 @@ TEST_F(PolystoreGenerationTest, DirectObjectWriteChangesGeneration) {
 /// Engine + cache over a VersionedSource wrapped in a FlakySource, so tests
 /// can count physical reads and script failures.
 struct CachedRig {
-  explicit CachedRig(size_t cache_bytes = 64u << 20) {
+  explicit CachedRig(size_t cache_bytes = 64u << 20, size_t shards = 0) {
     source.Set("people", People());
     flaky = std::make_unique<FlakySource>(&source);
     TableCacheOptions copts;
     copts.capacity_bytes = cache_bytes;
+    copts.shards = shards;
     cache = std::make_unique<TableCache>(copts);
     FederatedEngineOptions options;
     options.retry.max_attempts = 1;
@@ -189,6 +272,26 @@ TEST(FederatedCacheTest, WarmScanSkipsSourceRead) {
   EXPECT_EQ(rig.flaky->reads("people"), 1u);
   // Same bytes either way.
   EXPECT_TRUE(*r1 == *r2);
+}
+
+// A table of about half the cache's capacity is cached on the first query
+// and served warm on the second at every shard count: the shard count
+// spreads lock contention, it does not shrink what fits.
+TEST(FederatedCacheTest, HalfCapacityTableHitsAtEveryShardCount) {
+  const size_t charge = PeopleCharge();
+  for (const size_t shards : kShardCounts) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    CachedRig rig(/*cache_bytes=*/charge * 2, shards);
+    FederationStats cold;
+    ASSERT_TRUE(rig.engine->Query(kPeopleSql, {}, &cold).ok());
+    EXPECT_EQ(cold.cache_misses, 1u);
+    EXPECT_EQ(cold.cache_hits, 0u);
+    FederationStats warm;
+    ASSERT_TRUE(rig.engine->Query(kPeopleSql, {}, &warm).ok());
+    EXPECT_EQ(warm.cache_hits, 1u);
+    EXPECT_EQ(warm.cache_misses, 0u);
+    EXPECT_EQ(rig.flaky->reads("people"), 1u);
+  }
 }
 
 TEST(FederatedCacheTest, CacheHitBypassesBreakerAndFaults) {
